@@ -1,5 +1,12 @@
 // String interner: bidirectional mapping between strings and dense uint32
-// ids. Used for constants, relation names, and variable names.
+// ids. Used for constants and relation names.
+//
+// Concurrency: single writer, lock-free readers by id. Names live in a
+// SegmentedVector, so Name(id) and size() are safe while one writer interns,
+// and Name(id) returns a reference that stays at the same address for the
+// interner's lifetime. The writer side (Intern, Reserve, Freeze) and the
+// by-name Lookup — which probes the hash table the writer rehashes — must be
+// serialized by the caller; Vocabulary does it with one CountedMutex.
 #ifndef OMQE_BASE_INTERNER_H_
 #define OMQE_BASE_INTERNER_H_
 
@@ -10,6 +17,7 @@
 
 #include "base/flat_hash.h"
 #include "base/hash.h"
+#include "base/segmented_vector.h"
 
 namespace omqe {
 
@@ -68,8 +76,9 @@ class Interner {
     }
   }
 
+  /// Lock-free for any published id (see the header comment).
   const std::string& Name(uint32_t id) const { return strings_[id]; }
-  uint32_t size() const { return static_cast<uint32_t>(strings_.size()); }
+  uint32_t size() const { return strings_.size(); }
 
   /// Statistics of the underlying hash map (tests assert a reserved bulk
   /// intern performs no intermediate rehash).
@@ -79,13 +88,12 @@ class Interner {
   static constexpr uint32_t kNoNext = UINT32_MAX;
 
   uint32_t Add(std::string_view s) {
-    strings_.emplace_back(s);
     next_.push_back(kNoNext);
-    return static_cast<uint32_t>(strings_.size() - 1);
+    return strings_.emplace_back(s);
   }
 
-  std::vector<std::string> strings_;
-  std::vector<uint32_t> next_;
+  SegmentedVector<std::string> strings_;
+  std::vector<uint32_t> next_;  // writer-side only, like map_
   FlatMap<uint64_t, uint32_t> map_;
   bool frozen_ = false;
 };

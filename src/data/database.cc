@@ -6,21 +6,25 @@
 
 namespace omqe {
 
-void Database::ReserveFacts(RelId rel, uint32_t additional_rows) {
-  OMQE_CHECK(!frozen_);
+Database::RelData& Database::Slot(RelId rel) {
   if (rel >= rels_.size()) rels_.resize(rel + 1);
   RelData& rd = rels_[rel];
-  size_t arity = vocab_->Arity(rel);
+  if (rd.rows == 0) rd.arity = vocab_->Arity(rel);
+  return rd;
+}
+
+void Database::ReserveFacts(RelId rel, uint32_t additional_rows) {
+  OMQE_CHECK(!frozen_);
+  RelData& rd = Slot(rel);
   size_t total = rd.rows + additional_rows;
-  rd.tuples.reserve(total * arity);
-  rd.dedup.Reserve(total, total * arity);
+  rd.tuples.reserve(total * rd.arity);
+  rd.dedup.Reserve(total, total * rd.arity);
 }
 
 bool Database::AddFact(RelId rel, const Value* args, uint32_t arity) {
   OMQE_CHECK(!frozen_);
-  OMQE_CHECK(arity == vocab_->Arity(rel));
-  if (rel >= rels_.size()) rels_.resize(rel + 1);
-  RelData& rd = rels_[rel];
+  RelData& rd = Slot(rel);
+  OMQE_CHECK(arity == rd.arity);
   char& seen = rd.dedup.InsertOrGet(args, arity, 0);
   if (seen != 0) return false;
   seen = 1;

@@ -60,9 +60,11 @@ class Database {
     return rel < rels_.size() ? static_cast<uint32_t>(rels_[rel].rows) : 0;
   }
   uint32_t Arity(RelId rel) const { return vocab_->Arity(rel); }
-  /// Pointer to the tuple of fact (rel, row).
+  /// Pointer to the tuple of fact (rel, row). Hot in the chase and the
+  /// enumeration: reads the relation's own arity copy, not the vocabulary.
   const Value* Row(RelId rel, uint32_t row) const {
-    return rels_[rel].tuples.data() + static_cast<size_t>(row) * Arity(rel);
+    const RelData& rd = rels_[rel];
+    return rd.tuples.data() + static_cast<size_t>(row) * rd.arity;
   }
   const Value* Row(const FactRef& f) const { return Row(f.rel, f.row); }
 
@@ -110,8 +112,13 @@ class Database {
   struct RelData {
     std::vector<Value> tuples;
     size_t rows = 0;
+    /// The vocabulary's arity, copied when the slot first takes facts.
+    uint32_t arity = 0;
     TupleMap<char> dedup;
   };
+
+  /// The slot for `rel`, created (with its arity copied) on first use.
+  RelData& Slot(RelId rel);
 
   Vocabulary* vocab_;
   std::vector<RelData> rels_;

@@ -4,10 +4,10 @@
 
 namespace omqe {
 
-RelId Vocabulary::RelationId(std::string_view name, uint32_t arity) {
+RelId Vocabulary::RelationIdLocked(std::string_view name, uint32_t arity) {
   RelId r = relations_.Intern(name);
   if (r == arities_.size()) {
-    arities_.push_back(arity);
+    arities_.emplace_back(arity);
   } else {
     OMQE_CHECK(arities_[r] == arity);
   }
@@ -15,12 +15,13 @@ RelId Vocabulary::RelationId(std::string_view name, uint32_t arity) {
 }
 
 RelId Vocabulary::FreshRelation(std::string_view base, uint32_t arity) {
+  std::lock_guard<CountedMutex> lock(write_mu_);
   std::string candidate(base);
   int suffix = 0;
   while (relations_.Lookup(candidate) != UINT32_MAX) {
     candidate = std::string(base) + "#" + std::to_string(suffix++);
   }
-  return RelationId(candidate, arity);
+  return RelationIdLocked(candidate, arity);
 }
 
 std::string Vocabulary::ValueName(Value v) const {

@@ -19,13 +19,12 @@
 // still guards PreparedOMQ teardown; the epoch machinery only protects the
 // snapshot map itself.
 //
-// One caveat remains from the write side: the preprocessing phase reads AND
-// writes the environment's shared unfrozen Vocabulary (arity lookups on
-// every row, fresh relations during normalization), so callers that let
-// other threads read the vocabulary concurrently — e.g. to render rows —
-// must hold their own exclusive vocabulary lock around Prepare
-// (OmqeServer::DoPrepare does). Prepare additionally serializes on a
-// dedicated mutex so two prepares never interleave.
+// The write side touches the environment's shared Vocabulary only to read
+// it: the preprocessing phase looks up arities by id, which is lock-free and
+// safe beside a concurrent interner (the query's own symbols were interned
+// when it was parsed, before Prepare). So Prepare needs no vocabulary lock,
+// and threads rendering rows meanwhile are never stalled by it. Prepare
+// serializes on a dedicated mutex so two prepares never interleave.
 #ifndef OMQE_SERVER_REGISTRY_H_
 #define OMQE_SERVER_REGISTRY_H_
 
@@ -150,14 +149,14 @@ class QueryRegistry {
   RegistryOptions options_;
   /// The admission estimate depends only on (db, ontology, options), all
   /// fixed for the registry's lifetime — computed once in the constructor,
-  /// not on every PREPARE (which runs under the server's exclusive
-  /// vocabulary lock and must stay short).
+  /// not on every PREPARE (which holds prepare_mu_ and so delays every
+  /// PREPARE queued behind it).
   ChaseEstimate admission_estimate_;
 
   /// Writer-side locks are CountedMutex so server_test can assert the read
   /// path never touches them.
   mutable CountedMutex mu_;
-  CountedMutex prepare_mu_;  // serializes the (vocab-mutating) prepare phase
+  CountedMutex prepare_mu_;  // serializes the prepare phase
   std::atomic<Snapshot*> snapshot_;
   std::atomic<bool> draining_{false};
   /// Backing store when no external metric registry was injected.

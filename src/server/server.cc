@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -157,12 +158,9 @@ OmqeServer::~OmqeServer() {
 }
 
 void OmqeServer::DoPrepare(const Request& req, std::string* out) {
-  // Exclusive for the WHOLE prepare, not just the parse: ParseCQ interns
-  // query constants, and the preprocessing phase both reads the vocabulary
-  // on every row access (arities) and registers fresh relations during
-  // normalization — all of which must not run concurrently with another
-  // PREPARE's writes or a FETCH's shared-lock renders.
-  std::unique_lock<std::shared_mutex> lock(vocab_mu_);
+  // No server lock: ParseCQ's interning serializes inside the vocabulary,
+  // whose by-id reads (the preprocessing phase's arities, FETCH rendering)
+  // stay lock-free meanwhile; the registry serializes the prepare itself.
   StatusOr<CQ> query = ParseCQ(req.query_text, vocab_);
   if (!query.ok()) {
     *out += ErrLineFor(query.status()) + "\n";
@@ -208,26 +206,24 @@ void OmqeServer::DoFetch(const Request& req, std::string* out) {
     *out += ErrLineFor(status) + "\n";
     return;
   }
-  {
-    // Shared: rendering only reads the vocabulary's symbol tables. Hot
-    // path — append in place (no RowLine temporaries) and resolve
-    // constants through the allocation-free name ref.
-    std::shared_lock<std::shared_mutex> lock(vocab_mu_);
-    for (const ValueTuple& row : rows) {
-      out->append("ROW ");
-      for (uint32_t i = 0; i < row.size(); ++i) {
-        if (i) out->push_back(',');
-        Value v = row[i];
-        if (IsConstant(v)) {
-          out->append(vocab_->ConstantName(v));
-        } else if (v == kStar) {
-          out->push_back('*');
-        } else {
-          out->append(vocab_->ValueName(v));
-        }
+  // Hot path, lock-free: every constant in a row was interned before the
+  // artifact that produced it was published, and the vocabulary's by-id
+  // reads are safe beside a concurrent PREPARE's interning. Append in place
+  // (no RowLine temporaries) through the allocation-free name ref.
+  for (const ValueTuple& row : rows) {
+    out->append("ROW ");
+    for (uint32_t i = 0; i < row.size(); ++i) {
+      if (i) out->push_back(',');
+      Value v = row[i];
+      if (IsConstant(v)) {
+        out->append(vocab_->ConstantName(v));
+      } else if (v == kStar) {
+        out->push_back('*');
+      } else {
+        out->append(vocab_->ValueName(v));
       }
-      out->push_back('\n');
     }
+    out->push_back('\n');
   }
   *out += OkLine("FETCH " + std::to_string(rows.size()) +
                  (done ? " done" : " more")) +
@@ -671,6 +667,11 @@ Status ServeTcp(OmqeServer* server, uint16_t port,
     // read path tolerates a spurious wakeup.
     int flags = ::fcntl(conn, F_GETFL, 0);
     if (flags >= 0) ::fcntl(conn, F_SETFL, flags | O_NONBLOCK);
+    // Replies go out whole, one write per response block: Nagle would hold
+    // a small reply back until the client ACKs the previous one, which a
+    // delayed-ACK client sends only after ~40 ms — so a pipelining client
+    // would see every reply late by one ACK delay.
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (server->options().sndbuf_bytes > 0) {
       int sndbuf = server->options().sndbuf_bytes;
       ::setsockopt(conn, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));

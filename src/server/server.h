@@ -4,9 +4,11 @@
 //
 // HandleLine() is the transport-agnostic core: one request line in, the
 // response block (data lines + terminator) out. It is safe to call from any
-// number of threads — PREPARE serializes on the registry's prepare mutex
-// (query parsing interns into the shared vocabulary), while FETCH/row
-// rendering takes a shared vocabulary lock so readers proceed in parallel.
+// number of threads, and no server lock sits between a FETCH and its rows:
+// PREPAREs serialize on the registry's prepare mutex, query parsing interns
+// into the shared vocabulary under the vocabulary's own writer lock, and
+// FETCH renders rows through the vocabulary's lock-free by-id reads — so a
+// PREPARE never stalls a FETCH on another session (data/schema.h).
 //
 // Three transports drive it:
 //   - InProcessClient: requests submitted to the server's ThreadPool and
@@ -27,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,7 +114,8 @@ struct WireStats {
 class OmqeServer {
  public:
   /// The environment must outlive the server. `vocab` stays unfrozen (query
-  /// constants intern on PREPARE); all access is lock-disciplined here.
+  /// constants and relation names intern on PREPARE, beside lock-free row
+  /// rendering; see the Vocabulary concurrency contract in data/schema.h).
   /// When limits.idle_timeout_ms > 0 a background reaper thread closes
   /// idle sessions on a half-timeout cadence (stopped by the destructor).
   OmqeServer(Vocabulary* vocab, const Ontology* onto, const Database* db,
@@ -183,10 +185,6 @@ class OmqeServer {
   /// Per-verb request-latency histograms, indexed by Verb.
   static constexpr size_t kNumVerbs = static_cast<size_t>(Verb::kShutdown) + 1;
   metrics::Histogram* verb_latency_[kNumVerbs] = {};
-  /// PREPARE writes the vocabulary (parse interns constants, preprocessing
-  /// reads arities and registers fresh relations); row rendering reads it.
-  /// Readers share; each PREPARE is exclusive for its whole duration.
-  mutable std::shared_mutex vocab_mu_;
   WireStats wire_stats_;
   std::atomic<bool> shutdown_{false};
   // Idle-session reaper (only started when an idle timeout is configured).

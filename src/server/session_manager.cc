@@ -372,12 +372,15 @@ size_t SessionManager::ReapIdle() {
         table->slots[i].tag.store(kTombstone, std::memory_order_seq_cst);
         EpochDomain::Global().RetireDelete(box);
         --shard.live;
-        live_.fetch_sub(1, std::memory_order_relaxed);
+        // Count the reap before the session leaves live_ (release, paired
+        // with live_sessions()'s acquire): whoever sees the live count
+        // drop also sees the reap counted.
+        m_.reaped->Inc();
+        live_.fetch_sub(1, std::memory_order_release);
         ++reaped;
       }
     }
   }
-  m_.reaped->Inc(reaped);
   // Reaped sessions tear down in the sweep, never under a shard lock.
   OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
   EpochDomain::Global().ReclaimSweep();
@@ -395,7 +398,7 @@ StatusOr<LinkOverlay::Stats> SessionManager::OverlayStats(uint64_t sid) const {
 }
 
 size_t SessionManager::live_sessions() const {
-  return static_cast<size_t>(live_.load(std::memory_order_relaxed));
+  return static_cast<size_t>(live_.load(std::memory_order_acquire));
 }
 
 SessionManagerStats SessionManager::stats() const {

@@ -14,6 +14,7 @@
 #include "base/hash.h"
 #include "base/interner.h"
 #include "base/rng.h"
+#include "base/segmented_vector.h"
 #include "base/small_vec.h"
 #include "base/status.h"
 #include "base/str.h"
@@ -127,6 +128,74 @@ TEST(InternerTest, ManyStrings) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(in.Lookup("s" + std::to_string(i)), static_cast<uint32_t>(i));
   }
+}
+
+TEST(SegmentedVectorTest, SegmentLadderBoundaries) {
+  using V = SegmentedVector<int>;
+  EXPECT_EQ(V::SegmentOf(0), 0u);
+  EXPECT_EQ(V::SegmentOf(15), 0u);
+  EXPECT_EQ(V::SegmentOf(16), 1u);
+  EXPECT_EQ(V::SegmentOf(47), 1u);
+  EXPECT_EQ(V::SegmentOf(48), 2u);
+  EXPECT_EQ(V::SegmentCapacity(2), 64u);
+  // The largest index lands in the last segment.
+  EXPECT_EQ(V::SegmentOf(UINT32_MAX - 1), 28u);
+  V v;
+  v.reserve(100);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(v.emplace_back(i * 7), uint32_t(i));
+  ASSERT_EQ(v.size(), 1000u);
+  for (uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(v[i], static_cast<int>(i) * 7);
+}
+
+TEST(InternerTest, NameReferencesStayPutAcrossSegmentGrowth) {
+  // Name() hands out references into append-only segments that never move,
+  // so a reference taken early survives every later growth step — the
+  // property that lets a row renderer hold a name while a PREPARE interns.
+  Interner in;
+  std::vector<const std::string*> early;
+  for (int i = 0; i < 20; ++i) {
+    early.push_back(&in.Name(in.Intern("early" + std::to_string(i))));
+  }
+  for (int i = 0; i < 5000; ++i) in.Intern("late" + std::to_string(i));
+  ASSERT_GE(SegmentedVector<std::string>::SegmentOf(in.size() - 1),
+            SegmentedVector<std::string>::SegmentOf(19) + 5);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(&in.Name(i), early[i]) << "Name(" << i << ") moved";
+    EXPECT_EQ(*early[i], "early" + std::to_string(i));
+  }
+}
+
+TEST(InternerTest, OneWriterFourLockFreeReaders) {
+  // One thread interns while four read Name() on published ids (those below
+  // an acquire-loaded size()). Readers take no lock; run under TSan, this
+  // pins the single-writer / lock-free-reader contract.
+  Interner in;
+  constexpr int kStrings = 20000;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t local = 0;
+      uint32_t probe = static_cast<uint32_t>(t);
+      while (!stop.load(std::memory_order_acquire)) {
+        const uint32_t n = in.size();
+        if (n == 0) continue;
+        probe = (probe * 2654435761u + 1) % n;
+        ASSERT_EQ(in.Name(probe), "s" + std::to_string(probe));
+        ASSERT_EQ(in.Name(n - 1), "s" + std::to_string(n - 1));
+        ++local;
+      }
+      checked.fetch_add(local, std::memory_order_relaxed);
+    });
+  }
+  for (int i = 0; i < kStrings; ++i) {
+    ASSERT_EQ(in.Intern("s" + std::to_string(i)), static_cast<uint32_t>(i));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(in.size(), static_cast<uint32_t>(kStrings));
+  EXPECT_GT(checked.load(), 0u);
 }
 
 TEST(RngTest, DeterministicAndRoughlyUniform) {

@@ -14,9 +14,7 @@
 //     answered with the BADREQ taxonomy, not a crash;
 //   - overload sheds with a retryable OVERLOAD, and a stalled reader trips
 //     the write timeout instead of pinning a connection thread forever.
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -43,6 +41,7 @@
 #include "server/registry.h"
 #include "server/server.h"
 #include "server/session_manager.h"
+#include "tcp_test_util.h"
 #include "test_util.h"
 
 namespace omqe {
@@ -50,6 +49,10 @@ namespace {
 
 using server::ResponseRows;
 using server::ResponseTerminator;
+using testing::ConnectLoopback;
+using testing::RecvAll;
+using testing::SendRaw;
+using testing::TcpServer;
 using testing::World;
 
 /// Clears the process-wide fault injector around every test that arms it,
@@ -124,82 +127,6 @@ std::set<std::string> OfficeOracle(OfficeServer* w) {
   }
   return want;
 }
-
-// ---------------------------------------------------------------------------
-// Raw-socket helpers for the wire-level tests.
-// ---------------------------------------------------------------------------
-
-int ConnectLoopback(uint16_t port, int rcvbuf_bytes = 0) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  if (rcvbuf_bytes > 0) {
-    // Must be set BEFORE connect to affect the advertised window.
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
-                 sizeof(rcvbuf_bytes));
-  }
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(
-      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)),
-      0)
-      << std::strerror(errno);
-  return fd;
-}
-
-bool SendRaw(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t w = ::send(fd, data.data() + written, data.size() - written,
-                       MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    written += static_cast<size_t>(w);
-  }
-  return true;
-}
-
-std::string RecvAll(int fd) {
-  std::string out;
-  char chunk[4096];
-  for (;;) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    out.append(chunk, static_cast<size_t>(n));
-  }
-  return out;
-}
-
-/// ServeTcp on its own thread; the constructor blocks until the ephemeral
-/// port is bound.
-struct TcpServer {
-  explicit TcpServer(server::OmqeServer* srv) : srv_(srv) {
-    std::future<uint16_t> bound = port_.get_future();
-    thread_ = std::thread([this] {
-      Status s = server::ServeTcp(srv_, /*port=*/0,
-                                  [this](uint16_t p) { port_.set_value(p); });
-      EXPECT_TRUE(s.ok()) << s.ToString();
-    });
-    port = bound.get();
-    EXPECT_NE(port, 0);
-  }
-
-  /// Sends SHUTDOWN (unless the server is already stopping) and joins.
-  ~TcpServer() {
-    if (!srv_->shutdown_requested()) {
-      server::TcpExchange("127.0.0.1", port, "SHUTDOWN\n");
-    }
-    thread_.join();
-  }
-
-  uint16_t port = 0;
-
- private:
-  server::OmqeServer* srv_;
-  std::promise<uint16_t> port_;
-  std::thread thread_;
-};
 
 // ---------------------------------------------------------------------------
 // Primitives: CancelToken, fault specs, error taxonomy.

@@ -5,17 +5,24 @@
 // threaded soak over one server — the new payload of the tsan preset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <future>
 #include <set>
 #include <thread>
 
 #include "base/counted_mutex.h"
+#include "base/segmented_vector.h"
+#include "base/timer.h"
 #include "eval/brute.h"
 #include "server/protocol.h"
 #include "server/registry.h"
 #include "server/server.h"
 #include "server/session_manager.h"
+#include "tcp_test_util.h"
 #include "test_util.h"
+#include "workload/office.h"
 
 namespace omqe {
 namespace {
@@ -499,11 +506,13 @@ TEST(ServerTest, ThreadedSoakOverOneServer) {
 }
 
 TEST(ServerTest, FetchAndGetHotPathAcquiresZeroMutexes) {
-  // The RCU acceptance criterion, pinned: registry Get + session
-  // Fetch/Reset walk epoch-protected snapshots and spinlocked cursors only.
-  // Every writer-side lock in the serving stack is a CountedMutex, so a
-  // flat process-wide acquisition counter across the hot loop proves the
-  // read path is mutex-free (not just uncontended).
+  // The RCU acceptance criterion, pinned end to end: registry Get, session
+  // Fetch/Reset, and the whole wire FETCH — parse, dispatch, enumeration
+  // step, row rendering through the vocabulary — walk epoch-protected
+  // snapshots, spinlocked cursors, and lock-free symbol storage only. Every
+  // writer-side lock in the serving stack (the vocabulary's included) is a
+  // CountedMutex, so a flat process-wide acquisition counter across the hot
+  // loop proves the read path is mutex-free (not just uncontended).
   OfficeServer w;
   server::InProcessClient client(w.srv.get());
   ASSERT_FALSE(server::IsError(
@@ -515,22 +524,42 @@ TEST(ServerTest, FetchAndGetHotPathAcquiresZeroMutexes) {
   ASSERT_NE(prepared, nullptr);
   auto sid = sessions.Open(prepared, /*complete=*/false);
   ASSERT_TRUE(sid.ok());
+  std::string out;
+  ASSERT_TRUE(w.srv->HandleLine("OPEN offices", &out));
+  uint64_t wire_sid = 0;
+  ASSERT_TRUE(server::ParseOpenSession(out, &wire_sid)) << out;
+  const std::string wire_fetch = "FETCH " + std::to_string(wire_sid) + " 2";
+  const std::string wire_reset = "RESET " + std::to_string(wire_sid);
   // Warm the path once: the first EpochGuard on a thread claims its reader
   // slot (a one-time CAS scan, still mutex-free, but keep the measured
   // region to steady state).
   std::vector<ValueTuple> rows;
   bool done = false;
   ASSERT_TRUE(sessions.Fetch(*sid, 1, &rows, &done).ok());
+  out.clear();
+  ASSERT_TRUE(w.srv->HandleLine(wire_fetch, &out));
 
+  size_t rendered = 0;
   const uint64_t before = CountedMutex::TotalAcquisitions();
   for (int i = 0; i < 1000; ++i) {
     ASSERT_NE(registry.Get("offices"), nullptr);
     rows.clear();
     ASSERT_TRUE(sessions.Fetch(*sid, 2, &rows, &done).ok());
-    if (done) ASSERT_TRUE(sessions.Reset(*sid).ok());
+    if (done) {
+      ASSERT_TRUE(sessions.Reset(*sid).ok());
+    }
+    out.clear();
+    ASSERT_TRUE(w.srv->HandleLine(wire_fetch, &out));
+    ASSERT_FALSE(server::IsError(out)) << out;
+    rendered += ResponseRows(out).size();
+    if (server::FetchDone(out)) {
+      out.clear();
+      ASSERT_TRUE(w.srv->HandleLine(wire_reset, &out));
+    }
   }
   EXPECT_EQ(CountedMutex::TotalAcquisitions(), before)
       << "the FETCH/Get hot path acquired a mutex";
+  EXPECT_GT(rendered, 1000u);  // the loop really rendered rows
   ASSERT_TRUE(sessions.Close(*sid).ok());
 }
 
@@ -895,6 +924,290 @@ TEST(ServerTest, TcpTransportServesAndShutsDown) {
   EXPECT_NE(response->find("OK SHUTDOWN"), std::string::npos);
   serving.join();
   EXPECT_TRUE(w.srv->shutdown_requested());
+}
+
+TEST(ServerTest, RegistryPrepareOnlyReadsTheVocabulary) {
+  // The server docs rest on this: once a query is parsed, the whole
+  // preprocessing phase (estimate, chase, normalization, tree collection)
+  // only reads the vocabulary, so Prepare needs no vocabulary lock. A
+  // registration there would show as a grown symbol table.
+  OfficeServer w;
+  for (const char* text :
+       {kOfficeQuery, "q(x) :- Researcher(x)", "q(x, y) :- HasOffice(x, y)",
+        "q(x) :- HasOffice(x, y), InBuilding(y, 'main1')"}) {
+    const CQ query = w.Query(text);
+    const uint32_t constants = w.vocab.NumConstants();
+    const uint32_t relations = w.vocab.NumRelations();
+    ASSERT_TRUE(w.srv->registry().Prepare("q", query).ok()) << text;
+    EXPECT_EQ(w.vocab.NumConstants(), constants) << text;
+    EXPECT_EQ(w.vocab.NumRelations(), relations) << text;
+  }
+}
+
+TEST(ServerTest, PipelinedRepliesAreNotHeldForDelayedAcks) {
+  // A plain client (Nagle and delayed ACKs on) pipelines its FETCHes in
+  // pairs. Without TCP_NODELAY on the server's socket, the second reply of
+  // each pair is small and the first is still unacknowledged, so Nagle holds
+  // it until the client's delayed ACK fires — about 40 ms on Linux — and 20
+  // pairs take about 20 x 40 ms. With TCP_NODELAY every reply leaves at once.
+  OfficeServer w;
+  testing::TcpServer tcp(w.srv.get());
+  int fd = testing::ConnectLoopback(tcp.port);
+  testing::BlockReader reader(fd);
+  ASSERT_TRUE(testing::SendRaw(
+      fd, std::string("PREPARE offices ") + kOfficeQuery + "\nOPEN offices\n"));
+  ASSERT_FALSE(server::IsError(reader.Next()));
+  uint64_t sid = 0;
+  ASSERT_TRUE(server::ParseOpenSession(reader.Next(), &sid));
+  const std::string fetch = "FETCH " + std::to_string(sid) + " 1\n";
+
+  constexpr int kPairs = 20;
+  const int64_t start = NowNanos();
+  for (int i = 0; i < kPairs; ++i) {
+    ASSERT_TRUE(testing::SendRaw(fd, fetch + fetch));
+    for (int r = 0; r < 2; ++r) {
+      const std::string block = reader.Next();
+      ASSERT_FALSE(block.empty());
+      ASSERT_FALSE(server::IsError(block)) << block;
+    }
+  }
+  const int64_t elapsed_ms = (NowNanos() - start) / 1'000'000;
+  EXPECT_LT(elapsed_ms, kPairs * 40 / 4)
+      << "replies held back by Nagle: " << elapsed_ms << " ms for " << kPairs
+      << " pipelined pairs";
+  ::close(fd);
+}
+
+TEST(ServerTest, WirePrepareNeverStallsFetch) {
+  // A long PREPARE on connection A must not stall FETCHes on connection B:
+  // the vocabulary PREPARE interns into is read lock-free by FETCH's row
+  // rendering, and nothing else is shared between the two. B runs
+  // closed-loop FETCH 1 the whole time; the assertions are on B's replies
+  // that overlap A's PREPARE, so they do not depend on how fast the host is.
+  //
+  // Size the instance so A's PREPARE takes over a second on this build (a
+  // sanitizer build runs it ~30x slower than Release): double a probe
+  // instance until one PREPARE takes 250 ms, then scale linearly to ~1.2 s
+  // (preprocessing is linear in ||D||, and a little worse in practice, which
+  // only lengthens the PREPARE).
+  auto probe_prepare_ms = [](uint32_t researchers) {
+    World probe;
+    OfficeParams probe_params;
+    probe_params.researchers = researchers;
+    GenerateOffice(probe_params, &probe.db);
+    Ontology onto = OfficeOntology(&probe.vocab);
+    server::QueryRegistry registry(&onto, &probe.db);
+    const CQ query = probe.Query(kOfficeQuery);
+    const int64_t start = NowNanos();
+    EXPECT_TRUE(registry.Prepare("probe", query).ok());
+    return (NowNanos() - start) / 1e6;
+  };
+  OfficeParams params;
+  params.researchers = 5'000;
+  double probe_ms = probe_prepare_ms(params.researchers);
+  while (probe_ms < 250 && params.researchers < 160'000) {
+    params.researchers *= 2;
+    probe_ms = probe_prepare_ms(params.researchers);
+  }
+  params.researchers = static_cast<uint32_t>(
+      params.researchers * std::max(1.0, 1200.0 / probe_ms));
+  World w;
+  GenerateOffice(params, &w.db);
+  Ontology onto = OfficeOntology(&w.vocab);
+  server::OmqeServer srv(&w.vocab, &onto, &w.db);
+  testing::TcpServer tcp(&srv);
+
+  int fetch_fd = testing::ConnectLoopback(tcp.port);
+  testing::BlockReader fetch_reader(fetch_fd);
+  ASSERT_TRUE(testing::SendRaw(
+      fetch_fd, "PREPARE a q(x) :- Researcher(x)\nOPEN a\n"));
+  ASSERT_FALSE(server::IsError(fetch_reader.Next()));
+  uint64_t sid = 0;
+  ASSERT_TRUE(server::ParseOpenSession(fetch_reader.Next(), &sid));
+
+  struct Sample {
+    int64_t sent_ns;
+    int64_t received_ns;
+  };
+  std::vector<Sample> samples;
+  samples.reserve(1 << 20);
+  std::atomic<size_t> fetched{0};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> fetcher_exited{false};
+  std::thread fetcher([&] {
+    struct OnExit {
+      std::atomic<bool>* flag;
+      ~OnExit() { flag->store(true, std::memory_order_release); }
+    } on_exit{&fetcher_exited};
+    const std::string fetch = "FETCH " + std::to_string(sid) + " 1\n";
+    const std::string reset = "RESET " + std::to_string(sid) + "\n";
+    while (!stop.load(std::memory_order_acquire)) {
+      const int64_t sent = NowNanos();
+      if (!testing::SendRaw(fetch_fd, fetch)) break;
+      const std::string block = fetch_reader.Next();
+      const int64_t received = NowNanos();
+      ASSERT_FALSE(block.empty());
+      ASSERT_FALSE(server::IsError(block)) << block;
+      if (samples.size() < samples.capacity()) {
+        samples.push_back({sent, received});
+      }
+      fetched.fetch_add(1, std::memory_order_release);
+      if (server::FetchDone(block)) {
+        ASSERT_TRUE(testing::SendRaw(fetch_fd, reset));
+        ASSERT_FALSE(server::IsError(fetch_reader.Next()));
+      }
+    }
+  });
+  // An idle baseline first, so the FETCH loop is demonstrably running.
+  while (fetched.load(std::memory_order_acquire) < 200 &&
+         !fetcher_exited.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  if (fetcher_exited.load(std::memory_order_acquire)) {
+    fetcher.join();
+    FAIL() << "the FETCH loop stopped before the PREPARE was sent";
+  }
+
+  int prepare_fd = testing::ConnectLoopback(tcp.port);
+  testing::BlockReader prepare_reader(prepare_fd);
+  const int64_t prepare_sent = NowNanos();
+  const bool sent = testing::SendRaw(
+      prepare_fd, std::string("PREPARE b ") + kOfficeQuery + "\n");
+  const std::string prepared = sent ? prepare_reader.Next() : std::string();
+  const int64_t prepare_done = NowNanos();
+  stop.store(true, std::memory_order_release);
+  fetcher.join();
+  ::close(prepare_fd);
+  ::close(fetch_fd);
+  ASSERT_EQ(prepared.rfind("OK PREPARED b", 0), 0u) << prepared;
+
+  const int64_t prepare_ns = prepare_done - prepare_sent;
+  std::vector<int64_t> idle;
+  std::vector<int64_t> during;
+  size_t answered_before_prepared = 0;
+  for (const Sample& f : samples) {
+    if (f.received_ns < prepare_sent) {
+      idle.push_back(f.received_ns - f.sent_ns);
+    } else if (f.sent_ns < prepare_done) {
+      during.push_back(f.received_ns - f.sent_ns);
+      if (f.received_ns < prepare_done) ++answered_before_prepared;
+    }
+  }
+  ASSERT_FALSE(idle.empty());
+  ASSERT_FALSE(during.empty());
+  auto p99 = [](std::vector<int64_t> v) {
+    std::sort(v.begin(), v.end());
+    return v[(v.size() - 1) * 99 / 100];
+  };
+  const int64_t slowest = *std::max_element(during.begin(), during.end());
+  std::printf(
+      "%u researchers: PREPARE %.1f ms; FETCHes answered during it: %zu; "
+      "FETCH p99 idle %.1f us, during PREPARE %.1f us; slowest during "
+      "%.1f us\n",
+      params.researchers, prepare_ns / 1e6, answered_before_prepared,
+      p99(idle) / 1e3, p99(during) / 1e3, slowest / 1e3);
+  EXPECT_GE(answered_before_prepared, 100u);
+  EXPECT_LT(slowest, prepare_ns / 10)
+      << "a FETCH waited out a large part of an unrelated PREPARE";
+}
+
+TEST(ServerTest, PrepareInterningBesideFourRenderingFetchers) {
+  // The TSan payload for the lock-free vocabulary: two connections PREPARE
+  // queries with fresh constants and fresh relation names, growing both
+  // interners across several storage segments, while four threads render
+  // rows through HandleLine("FETCH ..."). Rendering reads names by id with
+  // no lock; interning appends beside it. Rows must stay exact throughout.
+  OfficeServer w;
+  std::string out;
+  ASSERT_TRUE(w.srv->HandleLine(std::string("PREPARE offices ") + kOfficeQuery,
+                                &out));
+  ASSERT_FALSE(server::IsError(out)) << out;
+  // The exact rendered rows, from one drain before the hammer starts.
+  std::set<std::string> expected;
+  out.clear();
+  w.srv->HandleLine("OPEN offices", &out);
+  uint64_t drain_sid = 0;
+  ASSERT_TRUE(server::ParseOpenSession(out, &drain_sid)) << out;
+  out.clear();
+  w.srv->HandleLine("FETCH " + std::to_string(drain_sid) + " 100", &out);
+  for (const std::string& row : ResponseRows(out)) expected.insert(row);
+  ASSERT_EQ(expected.size(), 3u) << out;
+  const uint32_t constants_before = w.vocab.NumConstants();
+  const uint32_t relations_before = w.vocab.NumRelations();
+
+  constexpr int kPreparers = 2;
+  constexpr int kPreparesEach = 64;
+  constexpr int kFreshConstants = 8;
+  std::atomic<bool> stop{false};
+  std::vector<int> bad_rows(4, 0);
+  std::vector<size_t> rendered(4, 0);
+  std::vector<std::thread> fetchers;
+  for (int t = 0; t < 4; ++t) {
+    fetchers.emplace_back([&, t] {
+      std::string r;
+      w.srv->HandleLine("OPEN offices", &r);
+      uint64_t sid = 0;
+      ASSERT_TRUE(server::ParseOpenSession(r, &sid)) << r;
+      const std::string fetch = "FETCH " + std::to_string(sid) + " 2";
+      const std::string reset = "RESET " + std::to_string(sid);
+      while (!stop.load(std::memory_order_acquire)) {
+        r.clear();
+        w.srv->HandleLine(fetch, &r);
+        ASSERT_FALSE(server::IsError(r)) << r;
+        for (const std::string& row : ResponseRows(r)) {
+          bad_rows[t] += expected.count(row) == 0;
+          ++rendered[t];
+        }
+        if (server::FetchDone(r)) {
+          r.clear();
+          w.srv->HandleLine(reset, &r);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> preparers;
+  for (int p = 0; p < kPreparers; ++p) {
+    preparers.emplace_back([&, p] {
+      for (int i = 0; i < kPreparesEach; ++i) {
+        const std::string tag = std::to_string(p) + "_" + std::to_string(i);
+        std::string q = "PREPARE f" + tag + " q(x) :- Researcher(x), Fresh" +
+                        tag + "(x";
+        for (int c = 0; c < kFreshConstants; ++c) {
+          q += ", 'c" + tag + "_" + std::to_string(c) + "'";
+        }
+        q += ")";
+        std::string r;
+        w.srv->HandleLine(q, &r);
+        ASSERT_EQ(r.rfind("OK PREPARED f" + tag, 0), 0u) << r;
+      }
+    });
+  }
+  for (std::thread& t : preparers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : fetchers) t.join();
+
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(bad_rows[t], 0) << "fetcher " << t;
+    EXPECT_GT(rendered[t], 0u) << "fetcher " << t;
+  }
+  constexpr uint32_t kPrepares = kPreparers * kPreparesEach;
+  ASSERT_EQ(w.vocab.NumConstants(),
+            constants_before + kPrepares * kFreshConstants);
+  ASSERT_EQ(w.vocab.NumRelations(), relations_before + kPrepares);
+  using Ladder = SegmentedVector<std::string>;
+  EXPECT_GE(Ladder::SegmentOf(w.vocab.NumConstants() - 1),
+            Ladder::SegmentOf(constants_before - 1) + 3);
+  for (int p = 0; p < kPreparers; ++p) {
+    for (int i = 0; i < kPreparesEach; ++i) {
+      const std::string tag = std::to_string(p) + "_" + std::to_string(i);
+      const RelId rel = w.vocab.FindRelation("Fresh" + tag);
+      ASSERT_NE(rel, UINT32_MAX);
+      EXPECT_EQ(w.vocab.Arity(rel), 1u + kFreshConstants);
+      EXPECT_EQ(w.vocab.RelationName(rel), "Fresh" + tag);
+      const std::string name = "c" + tag + "_0";
+      EXPECT_EQ(w.vocab.ConstantName(w.vocab.FindConstant(name)), name);
+    }
+  }
 }
 
 }  // namespace
